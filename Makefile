@@ -1,4 +1,4 @@
-.PHONY: all build test bench micro verify-bench chaos-bench sat-bench proc-bench incr-bench portfolio-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
+.PHONY: all build test bench micro verify-bench chaos-bench sat-bench proc-bench incr-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
 
 all: build
 
@@ -49,14 +49,6 @@ proc-bench: build
 incr-bench: build
 	dune exec bench/main.exe -- incr-bench
 
-# Diversified SAT portfolio + cube-and-conquer racing across the fork
-# pool: four configs per hostile query, first conclusive verdict wins,
-# losers SIGKILLed, inconclusive probes split into cubes on the top VSIDS
-# variables.  Writes machine-readable BENCH_portfolio.json; exits non-zero
-# on a conclusive-verdict flip or an orphaned worker.
-portfolio-bench: build
-	dune exec bench/main.exe -- portfolio-bench
-
 # The serving layer under open-loop overload: calibrate sustainable
 # throughput, then replay 2x that rate with chaos faults (worker kills,
 # spurious queue-full, client disconnects, stalled dispatchers).  Every
@@ -106,7 +98,6 @@ check: build
 	dune exec bench/main.exe -- robust-bench
 	dune exec bench/main.exe -- proc-bench
 	dune exec bench/main.exe -- incr-bench
-	dune exec bench/main.exe -- portfolio-bench
 	dune exec bench/main.exe -- store-bench
 	dune exec bench/main.exe -- fold-bench
 	dune exec bench/serve_bench.exe

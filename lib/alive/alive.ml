@@ -151,7 +151,7 @@ let counterexample_verdict ~bounded ~copy (model : Solver.model) m src tgt s_sum
 (** Verify that [tgt] refines [src] within [m].  Both functions must already
     be well-formed (callers should route model-produced text through
     {!verify_text}). *)
-let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?incremental ?sat
+let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?incremental
     (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : verdict =
   let copy = Builder.alpha_equal src tgt in
   if not (signature_matches src tgt) then
@@ -176,7 +176,7 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?inc
       | exception Encode.Unsupported reason ->
         verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
       | s_sum, t_sum -> (
-        match Refine.check ~max_conflicts ?deadline ?reduce ?sat s_sum t_sum with
+        match Refine.check ~max_conflicts ?deadline ?reduce s_sum t_sum with
         | exception Encode.Unsupported reason ->
           verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
         | Refine.Refines ->
@@ -203,7 +203,7 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?inc
            one); the final depth's answer is authoritative.
          The conflict budget is shared by the whole schedule: each check
          gets what the earlier depths left over. *)
-      let sess = Refine.session_create ?sat () in
+      let sess = Refine.session_create () in
       Fun.protect ~finally:(fun () -> Refine.session_release sess) @@ fun () ->
       let rec deepen = function
         | [] -> assert false
@@ -247,109 +247,9 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?inc
       deepen (unroll_schedule unroll)
     end
 
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer entry points (the engine's portfolio tier-2 path).
-
-   The parent runs [cube_probe] on a small conflict budget; a conclusive
-   probe is a verdict outright, an inconclusive one yields a plan whose
-   cubes are raced across worker processes, each running
-   [verify_funcs_cube].  Every worker re-encodes the same pair at the same
-   single-shot full bound, so the raw SAT literals in the cubes mean the
-   same variables in every process (structural blast order). *)
-
-type cube_outcome = Cube_refines | Cube_cex of verdict | Cube_unknown
-
-let verify_funcs_cube ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?sat ~cube
-    (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : cube_outcome * int list =
-  let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then (Cube_unknown, [])
-  else
-    let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
-    match
-      let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
-      let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
-      (s_sum, t_sum)
-    with
-    | exception Encode.Unsupported _ -> (Cube_unknown, [])
-    | s_sum, t_sum -> (
-      match Refine.check_cube ~max_conflicts ?deadline ?reduce ?sat ~cube s_sum t_sum with
-      | exception Encode.Unsupported _ -> (Cube_unknown, [])
-      | Refine.Refines, units -> (Cube_refines, units)
-      | Refine.Unknown, units -> (Cube_unknown, units)
-      | Refine.Counterexample model, units ->
-        (* concrete re-validation happens here in the worker, where the live
-           model closures exist; only plain data crosses back to the parent *)
-        let v = counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum in
-        ((match v.category with Semantic_error -> Cube_cex v | _ -> Cube_unknown), units))
-
-type cube_plan = {
-  plan_probe : Solver.probe;
-  cubes : int list list;  (** the 2^k assumption lists, a partition *)
-  plan_m : Ast.modul;
-  plan_src : Ast.func;
-  plan_tgt : Ast.func;
-  plan_s_sum : Encode.summary;
-  plan_t_sum : Encode.summary;
-  plan_bounded : bool;
-  plan_copy : bool;
-}
-
-let cube_probe ?(unroll = 4) ?(max_conflicts = 500) ?deadline ?reduce ?sat ~k (m : Ast.modul)
-    ~(src : Ast.func) ~(tgt : Ast.func) : [ `Verdict of verdict | `Split of cube_plan ] =
-  let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then
-    `Verdict
-      (verdict Syntax_error
-         (Diagnostics.syntax_error_message "function signature does not match the source"))
-  else
-    let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
-    let inconclusive reason =
-      `Verdict (verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason))
-    in
-    match
-      let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
-      let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
-      (s_sum, t_sum)
-    with
-    | exception Encode.Unsupported reason -> inconclusive reason
-    | s_sum, t_sum -> (
-      match Refine.probe ~max_conflicts ?deadline ?reduce ?sat s_sum t_sum with
-      | exception Encode.Unsupported reason -> inconclusive reason
-      | _, Refine.Refines ->
-        `Verdict (verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded))
-      | _, Refine.Counterexample model ->
-        `Verdict (counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum)
-      | probe, Refine.Unknown ->
-        let vars = Refine.probe_top_vars probe k in
-        `Split
-          {
-            plan_probe = probe;
-            cubes = Veriopt_smt.Portfolio.cube_lits ~vars;
-            plan_m = m;
-            plan_src = src;
-            plan_tgt = tgt;
-            plan_s_sum = s_sum;
-            plan_t_sum = t_sum;
-            plan_bounded = bounded;
-            plan_copy = copy;
-          })
-
-let probe_join ?(max_conflicts = 10_000) ?deadline (plan : cube_plan) ~(units : int list) :
-    verdict option =
-  match Refine.probe_join ~max_conflicts ?deadline plan.plan_probe ~units with
-  | Refine.Refines ->
-    Some
-      (verdict ~bounded:plan.plan_bounded ~copy:plan.plan_copy Equivalent
-         (Diagnostics.equivalent_message ~bounded:plan.plan_bounded))
-  | Refine.Counterexample model ->
-    Some
-      (counterexample_verdict ~bounded:plan.plan_bounded ~copy:plan.plan_copy model plan.plan_m
-         plan.plan_src plan.plan_tgt plan.plan_s_sum plan.plan_t_sum)
-  | Refine.Unknown -> None
-
 (** Verify model-produced IR text against a source function: parse errors and
     malformed IR map to [Syntax_error], as in the paper's Tables I/II. *)
-let verify_text ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat (m : Ast.modul)
+let verify_text ?unroll ?max_conflicts ?deadline ?reduce ?incremental (m : Ast.modul)
     ~(src : Ast.func) ~(tgt_text : string) : verdict =
   match Parser.parse_func_result tgt_text with
   | Error msg -> verdict Syntax_error (Diagnostics.syntax_error_message msg)
@@ -357,7 +257,7 @@ let verify_text ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat (m : 
     match Validator.validate_func ~module_:m tgt with
     | Error errors ->
       verdict Syntax_error (Diagnostics.syntax_error_message (String.concat "\n" errors))
-    | Ok () -> verify_funcs ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat m ~src ~tgt)
+    | Ok () -> verify_funcs ?unroll ?max_conflicts ?deadline ?reduce ?incremental m ~src ~tgt)
 
 (* Bump when the verdict taxonomy or the tier-1 concrete re-validation
    changes meaning: the disk-backed verdict store keys entry freshness on

@@ -12,8 +12,6 @@ type key = {
   max_conflicts : int;
   reduce : bool;
   incremental : bool;
-  portfolio : int;
-  sat : string;
 }
 
 type stats = {

@@ -35,13 +35,6 @@ type key = {
   incremental : bool;
       (** iterative-deepening knob — like [reduce], a budget/trajectory
           parameter: resource-exhaustion verdicts depend on it *)
-  portfolio : int;
-      (** portfolio width — a trajectory parameter: which member concludes
-          (and whether anyone does within budget) depends on it *)
-  sat : string;
-      (** canonical description of the base SAT config
-          ({!Veriopt_smt.Sat.describe_config}): seed and schedule changes
-          must not alias cache entries *)
 }
 
 type stats = {

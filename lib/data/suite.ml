@@ -114,8 +114,10 @@ let build ?(verify = true) ~seed0 ~n () : dataset =
     in
     go 0 0 [] empty_stats
   in
-  let jobs = Par.shared_jobs () in
-  if (not verify) || jobs <= 1 || n <= 0 then sequential ()
+  (* [Par.shared_jobs] spawns the pool's domains, after which this process
+     can no longer fork: only touch it when there is verification to spread *)
+  let jobs = if verify && n > 0 then Par.shared_jobs () else 1 in
+  if jobs <= 1 then sequential ()
   else begin
     let wave = 2 * jobs in
     let rec go i id acc stats =

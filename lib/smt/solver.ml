@@ -85,8 +85,8 @@ let rec bump_max counter n =
 (* Worker-side aggregation: a forked verification worker accumulates its SAT
    work in its own copy of these atomics, invisible to the parent.  The
    worker ships [diff after before] back in the response frame and the
-   parent [absorb]s it, so Report and the bench JSON see portfolio members'
-   counters — losers included — not just the parent's own solves. *)
+   parent [absorb]s it, so Report and the bench JSON see the workers'
+   counters, not just the parent's own solves. *)
 
 let diff (a : stats) (b : stats) : stats =
   {
@@ -168,9 +168,8 @@ let solve_ctx ~max_conflicts ?deadline ~reduce ?(assumptions = []) (ctx : Bitbla
     [deadline] is an absolute wall-clock instant checked in the SAT loop
     alongside it.  Exhausting either yields [Unknown].  [reduce] (default
     on) is the learned-clause-DB reduction knob, forwarded to {!Sat.solve}
-    so differential harnesses can diff the two trajectories.  [config]
-    diversifies the underlying solver (portfolio members). *)
-let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
+    so differential harnesses can diff the two trajectories. *)
+let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true)
     (assertions : Expr.t list) : outcome =
   let expired () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
@@ -188,73 +187,9 @@ let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
     Unsat
   end
   else begin
-    let ctx = Bitblast.create ?config () in
+    let ctx = Bitblast.create () in
     List.iter (Bitblast.assert_term ctx) assertions;
     solve_ctx ~max_conflicts ?deadline ~reduce ctx
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Probes and cubes (cube-and-conquer support).
-
-   A probe is a budget-limited solve whose context stays alive afterwards:
-   when it comes back [Unknown], its VSIDS activity order names the top
-   split variables, and its solver is the join point where unit clauses
-   learned by cube workers are merged and cheaply re-propagated.
-
-   Soundness of shipping raw literals across processes: bit-blasting a
-   fixed assertion list in a fresh context allocates SAT variables in
-   deterministic (structural traversal) order, so two processes blasting
-   the same query agree on every variable index. *)
-
-type probe = { pctx : Bitblast.ctx }
-
-let probe_check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
-    (assertions : Expr.t list) : probe * outcome =
-  let ctx = Bitblast.create ?config () in
-  List.iter (Bitblast.assert_term ctx) assertions;
-  let o = solve_ctx ~max_conflicts ?deadline ~reduce ctx in
-  ({ pctx = ctx }, o)
-
-let probe_top_vars (p : probe) k = Sat.top_vars p.pctx.Bitblast.sat k
-
-let probe_add_units (p : probe) (units : int list) =
-  List.iter (fun l -> Sat.add_clause p.pctx.Bitblast.sat [ l ]) units
-
-let probe_resolve ?(max_conflicts = 10_000) ?deadline (p : probe) : outcome =
-  solve_ctx ~max_conflicts ?deadline ~reduce:true p.pctx
-
-(** Decide [/\ assertions] under a cube of raw assumption literals, and
-    return the level-0 unit literals learned along the way (global
-    consequences of the clause DB, safe to merge at the join).  Out-of-range
-    cube literals — a blast mismatch between planner and worker — degrade to
-    [Unknown] rather than crash. *)
-let check_cube ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config ~(cube : int list)
-    (assertions : Expr.t list) : outcome * int list =
-  let expired () =
-    match deadline with None -> false | Some d -> Unix.gettimeofday () > d
-  in
-  if Fault.fire Fault.Solver_timeout || expired () then begin
-    bump s_checks 1;
-    bump s_unknown 1;
-    (Unknown, [])
-  end
-  else if List.exists (fun (t : Expr.t) -> t.Expr.node = Expr.False) assertions then begin
-    bump s_checks 1;
-    bump s_unsat 1;
-    (Unsat, [])
-  end
-  else begin
-    let ctx = Bitblast.create ?config () in
-    List.iter (Bitblast.assert_term ctx) assertions;
-    let sat = ctx.Bitblast.sat in
-    if List.exists (fun l -> Sat.var_of_lit l >= Sat.num_vars sat) cube then begin
-      bump s_checks 1;
-      bump s_unknown 1;
-      (Unknown, [])
-    end
-    else
-      let o = solve_ctx ~max_conflicts ?deadline ~reduce ~assumptions:cube ctx in
-      (o, Sat.implied_units sat)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -275,10 +210,10 @@ module Session = struct
     mutable released : bool;
   }
 
-  let create ?config () =
+  let create () =
     bump s_sessions 1;
     {
-      ctx = Bitblast.create ?config ();
+      ctx = Bitblast.create ();
       asserted = Hashtbl.create 64;
       checks = 0;
       conflicts_used = 0;
@@ -300,56 +235,26 @@ module Session = struct
     let expired () =
       match deadline with None -> false | Some d -> Unix.gettimeofday () > d
     in
-    bump s_checks 1;
     if t.checks > 0 then bump s_session_reuse 1;
     t.checks <- t.checks + 1;
     (* fault site: shares the one-shot path's injected solver timeouts *)
     if Fault.fire Fault.Solver_timeout || expired () then begin
+      bump s_checks 1;
       bump s_unknown 1;
       Unknown
     end
     else begin
-      let sat = t.ctx.Bitblast.sat in
-      let c0, d0, p0 = Sat.stats sat in
-      let r0 = Sat.restarts sat in
-      let db0 = Sat.db_stats sat in
+      let c0, _, _ = Sat.stats t.ctx.Bitblast.sat in
       (* Blasting the assumption terms may add definitional clauses — that
          is fine, Tseitin definitions are satisfiable extensions. *)
-      let assumption_lits = List.map (Bitblast.blast_bool t.ctx) assumptions in
-      let result =
-        Sat.solve ~max_conflicts ?deadline ~reduce ~assumptions:assumption_lits sat
-      in
-      let c1, d1, p1 = Sat.stats sat in
-      let db1 = Sat.db_stats sat in
+      let assumptions = List.map (Bitblast.blast_bool t.ctx) assumptions in
+      (* A [Sat] model's closures read live solver state: valid until the
+         next operation on this session.  The deepening loop stops on Sat,
+         so its counterexample models are never invalidated. *)
+      let o = solve_ctx ~max_conflicts ?deadline ~reduce ~assumptions t.ctx in
+      let c1, _, _ = Sat.stats t.ctx.Bitblast.sat in
       t.conflicts_used <- t.conflicts_used + (c1 - c0);
-      bump s_conflicts (c1 - c0);
-      bump s_decisions (d1 - d0);
-      bump s_propagations (p1 - p0);
-      bump s_restarts (Sat.restarts sat - r0);
-      bump s_learned (db1.Sat.learned - db0.Sat.learned);
-      bump s_deleted (db1.Sat.deleted - db0.Sat.deleted);
-      bump s_reductions (db1.Sat.reductions - db0.Sat.reductions);
-      bump_max s_db_peak db1.Sat.peak;
-      Array.iteri
-        (fun i n -> bump s_lbd_hist.(i) (n - db0.Sat.lbd_hist.(i)))
-        db1.Sat.lbd_hist;
-      match result with
-      | Sat.Sat ->
-        bump s_sat 1;
-        (* The closures read live solver state: valid until the next
-           operation on this session. The deepening loop stops on Sat, so
-           its counterexample models are never invalidated. *)
-        Sat
-          {
-            bv_value = (fun name -> Bitblast.bv_model_value t.ctx name);
-            bool_value = (fun name -> Bitblast.bool_model_value t.ctx name);
-          }
-      | Sat.Unsat ->
-        bump s_unsat 1;
-        Unsat
-      | Sat.Unknown ->
-        bump s_unknown 1;
-        Unknown
+      o
     end
 
   let conflicts t = t.conflicts_used

@@ -262,8 +262,6 @@ let vcache_tests =
             max_conflicts = 1;
             reduce = true;
             incremental = true;
-            portfolio = 1;
-            sat = "s0:luby100:pF";
           }
         in
         let (c : int Vcache.t) = Vcache.create ~capacity:2 () in
@@ -295,8 +293,6 @@ let vcache_tests =
             max_conflicts = 0;
             reduce = true;
             incremental = true;
-            portfolio = 1;
-            sat = "s0:luby100:pF";
           }
           9;
         Vcache.reset c;

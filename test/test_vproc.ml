@@ -13,7 +13,6 @@ module Engine = Veriopt_alive.Engine
 module Vcache = Veriopt_alive.Vcache
 module Eintr = Veriopt_vproc.Eintr
 module Vproc = Veriopt_vproc.Vproc
-module Portfolio = Veriopt_smt.Portfolio
 module Fault = Veriopt_fault.Fault
 module Trainer = Veriopt_rl.Trainer
 module S = Veriopt_data.Suite
@@ -158,7 +157,7 @@ let eintr_tests =
 (* The pool request language: closure-free values only (Marshal). *)
 type cmd =
   | Echo of string
-  | Sleep of float * string  (* answer after a nap — race-leg stand-in *)
+  | Sleep of float * string  (* answer after a nap: a call still in flight *)
   | Hang  (* busy-spin; only SIGKILL ends it *)
   | Crash  (* exit without a response *)
   | Raise  (* handler exception; the worker itself survives *)
@@ -275,150 +274,39 @@ let pool_tests =
 
 (* ------------------------------------------------------------------ *)
 
-let with_race_pool f =
-  Vproc.reset_stats ();
-  let pool = Vproc.create ~jobs:2 ~handler () in
-  Fun.protect ~finally:(fun () -> Vproc.shutdown pool) (fun () -> f pool);
-  Alcotest.(check int) "no orphans after shutdown" 0 (Vproc.orphans pool)
-
-let race_tests =
+let shutdown_tests =
   [
-    Alcotest.test_case "call_race: first responder wins, the loser is reaped promptly" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            let t0 = Unix.gettimeofday () in
-            (match
-               Vproc.call_race
-                 ~kill_at:(t0 +. 30.)
-                 ~decide:(fun _ _ -> `Win)
-                 pool
-                 [ Sleep (0.02, "fast"); Sleep (10.0, "slow") ]
-             with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              Alcotest.(check int) "one member per request" 2 (Array.length members);
-              (match members.(0) with
-              | Vproc.Race_done (r, dt) ->
-                Alcotest.(check string) "winner's response" "FAST" r;
-                Alcotest.(check bool) (Fmt.str "winner was quick (%.3fs)" dt) true (dt < 5.0)
-              | _ -> Alcotest.fail "the fast member must win");
-              (match members.(1) with
-              | Vproc.Race_cancelled _ -> ()
-              | Vproc.Race_done _ -> Alcotest.fail "a 10s sleeper finished first"
-              | Vproc.Race_failed f ->
-                Alcotest.failf "loser failed instead of cancelling: %s"
-                  (Vproc.failure_message f)));
-            let dt = Unix.gettimeofday () -. t0 in
-            Alcotest.(check bool) (Fmt.str "loser reaped promptly (%.3fs)" dt) true (dt < 5.0);
-            Alcotest.(check int) "one loser cancelled" 1 (Vproc.stats ()).Vproc.cancelled;
-            Alcotest.(check int) "cancellation is not a kill" 0 (Vproc.stats ()).Vproc.killed;
-            (* the cancelled slot respawns and serves again — no backoff *)
-            check_ok pool "after-race"));
-    Alcotest.test_case "call_race: `Continue legs all complete, nobody is cancelled" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            match
-              Vproc.call_race
-                ~kill_at:(Unix.gettimeofday () +. 30.)
-                ~decide:(fun _ r -> if r = "YES" then `Win else `Continue)
-                pool
-                [ Sleep (0.01, "no"); Sleep (0.15, "yes") ]
-            with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              (match members.(0) with
-              | Vproc.Race_done ("NO", _) -> ()
-              | _ -> Alcotest.fail "the inconclusive leg must still report its answer");
-              (match members.(1) with
-              | Vproc.Race_done ("YES", _) -> ()
-              | _ -> Alcotest.fail "the conclusive leg must win");
-              Alcotest.(check int) "nothing cancelled" 0 (Vproc.stats ()).Vproc.cancelled));
-    Alcotest.test_case "call_race: members beyond the pool fail, the rest still race" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            match
-              Vproc.call_race
-                ~kill_at:(Unix.gettimeofday () +. 30.)
-                ~decide:(fun _ _ -> `Win)
-                pool
-                [ Sleep (0.02, "a"); Sleep (10.0, "b"); Sleep (0.02, "c") ]
-            with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              (match members.(0) with
-              | Vproc.Race_done ("A", _) -> ()
-              | _ -> Alcotest.fail "member 0 must win");
-              (match members.(1) with
-              | Vproc.Race_cancelled _ -> ()
-              | _ -> Alcotest.fail "member 1 must be cancelled");
-              (match members.(2) with
-              | Vproc.Race_failed (Vproc.Unavailable _) -> ()
-              | _ -> Alcotest.fail "member 2 exceeds the pool and must be Unavailable")));
-    Alcotest.test_case "call_race: the deadline kills every still-running member" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            let t0 = Unix.gettimeofday () in
-            (match
-               Vproc.call_race
-                 ~kill_at:(t0 +. 0.1)
-                 ~decide:(fun _ _ -> `Continue)
-                 pool
-                 [ Sleep (10.0, "a"); Sleep (10.0, "b") ]
-             with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              Array.iter
-                (function
-                  | Vproc.Race_failed (Vproc.Killed _) -> ()
-                  | _ -> Alcotest.fail "a member outlived the race deadline")
-                members);
-            let dt = Unix.gettimeofday () -. t0 in
-            Alcotest.(check bool) (Fmt.str "deadline was hard (%.3fs)" dt) true (dt < 5.0);
-            Alcotest.(check int) "both members killed" 2 (Vproc.stats ()).Vproc.killed;
-            Alcotest.(check int) "deadline kills are not cancellations" 0
-              (Vproc.stats ()).Vproc.cancelled;
-            check_ok pool "after-deadline"));
-    Alcotest.test_case "shutdown under an active race quiesces first, leaves no orphans"
+    Alcotest.test_case "shutdown under an in-flight call quiesces first, leaves no orphans"
       `Quick (fun () ->
-        (* Regression: shutdown used to tear the pool down while a race was
-           still cancelling its loser, racing the orphans audit against the
-           supervisors' own reaping.  It must now block until every in-flight
-           call releases its slots, then reap deterministically. *)
+        (* Regression: shutdown used to tear the pool down while a call was
+           still in flight, racing the orphans audit against the supervisors'
+           own reaping.  It must block until every in-flight call releases
+           its slot, then reap deterministically. *)
         Vproc.reset_stats ();
         let pool = Vproc.create ~jobs:2 ~handler () in
         let result = ref None in
-        let racer =
+        let caller =
           Thread.create
             (fun () ->
               result :=
                 Some
-                  (Vproc.call_race
-                     ~kill_at:(Unix.gettimeofday () +. 30.)
-                     ~decide:(fun _ _ -> `Win)
-                     pool
-                     [ Sleep (0.15, "fast"); Sleep (10.0, "slow") ]))
+                  (Vproc.call ~kill_at:(Unix.gettimeofday () +. 30.) pool (Sleep (0.3, "slow"))))
             ()
         in
-        (* let the race dispatch both legs, then shut down underneath it *)
+        (* let the call dispatch, then shut down underneath it *)
         Unix.sleepf 0.05;
         let t0 = Unix.gettimeofday () in
         Vproc.shutdown pool;
         let dt = Unix.gettimeofday () -. t0 in
-        Thread.join racer;
+        Thread.join caller;
         Alcotest.(check bool)
-          (Fmt.str "shutdown blocked until the race resolved (%.3fs)" dt)
-          true (dt >= 0.05);
+          (Fmt.str "shutdown blocked until the call returned (%.3fs)" dt)
+          true (dt >= 0.15);
         (match !result with
-        | Some (Ok members) ->
-          (match members.(0) with
-          | Vproc.Race_done ("FAST", _) -> ()
-          | _ -> Alcotest.fail "the fast leg must still win under teardown");
-          (match members.(1) with
-          | Vproc.Race_cancelled _ -> ()
-          | _ -> Alcotest.fail "the slow leg must be cancelled, not torn down")
+        | Some (Ok r) -> Alcotest.(check string) "the call got its answer" "SLOW" r
         | Some (Error f) ->
-          Alcotest.failf "race failed under teardown: %s" (Vproc.failure_message f)
-        | None -> Alcotest.fail "race never completed");
+          Alcotest.failf "call failed under teardown: %s" (Vproc.failure_message f)
+        | None -> Alcotest.fail "call never completed");
         Alcotest.(check int) "no orphans after teardown under load" 0 (Vproc.orphans pool));
   ]
 
@@ -493,59 +381,6 @@ let engine_tests =
         Alcotest.check category "both slots healthy" A.Equivalent v2.A.category;
         Alcotest.(check bool) "respawns recorded" true
           ((Vproc.stats ()).Vproc.respawned >= 1));
-    Alcotest.test_case "portfolio racing: verdicts match in-process, no orphans" `Slow
-      (fun () ->
-        let e = Engine.create ~tier1_samples:0 ~portfolio:2 () in
-        if Engine.portfolio e < 2 then ()
-          (* fork refused: the portfolio degraded to a single solver *)
-        else
-          Fun.protect
-            ~finally:(fun () ->
-              Engine.shutdown e;
-              Alcotest.(check int) "no orphans after shutdown" 0 (Engine.orphans e))
-            (fun () ->
-              Portfolio.reset_stats ();
-              (* conclusive probes short-circuit the race; verdicts match *)
-              let m_easy, src_e, tgt_e = easy_pair () in
-              let fresh = A.verify_funcs m_easy ~src:src_e ~tgt:tgt_e in
-              let raced = Engine.verify_funcs e m_easy ~src:src_e ~tgt:tgt_e in
-              Alcotest.check category "equivalent pair" fresh.A.category raced.A.category;
-              let m =
-                Parser.parse_module
-                  "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 1\n  ret i8 %r\n}"
-              in
-              let src = List.hd m.Ast.funcs in
-              let bad =
-                Engine.verify_text e m ~src
-                  ~tgt_text:
-                    "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 2\n  ret i8 %r\n}"
-              in
-              Alcotest.check category "refuted pair" A.Semantic_error bad.A.category;
-              (* loop pairs go through the same race plumbing *)
-              List.iter
-                (fun (name, (lm, lsrc, ltgt)) ->
-                  let fresh = A.verify_funcs ~incremental:false lm ~src:lsrc ~tgt:ltgt in
-                  let raced = Engine.verify_funcs e lm ~src:lsrc ~tgt:ltgt in
-                  Alcotest.check category name fresh.A.category raced.A.category)
-                [ ("terminating loop", loop_pair ()); ("wrong constant", loop_pair ~ret:4 ()) ];
-              (* a probe-resistant pair forces an actual cube split: i8 mul
-                 commutativity blows the 500-conflict probe but the cube
-                 legs close it.  Whatever wins, the verdict must never flip
-                 to a refutation *)
-              let text op =
-                Fmt.str
-                  "define i8 @f(i8 %%x, i8 %%y) {\nentry:\n  %%r = mul i8 %s\n  ret i8 %%r\n}"
-                  op
-              in
-              let hm = Parser.parse_module (text "%x, %y") in
-              let hsrc = List.hd hm.Ast.funcs in
-              let htgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-              let v = Engine.verify_funcs ~max_conflicts:400_000 e hm ~src:hsrc ~tgt:htgt in
-              Alcotest.check category "i8 mul commutes" A.Equivalent v.A.category;
-              let p = Portfolio.stats () in
-              Alcotest.(check bool) "races ran" true (p.Portfolio.races >= 1);
-              Alcotest.(check bool) "the hostile pair split into cubes" true
-                (p.Portfolio.cube_splits >= 1)));
     Alcotest.test_case "worker_oom chaos: the bomb dies in the worker" `Quick (fun () ->
         Unix.putenv "VERIOPT_PROC_MEM_MB" "64";
         Fun.protect
@@ -578,6 +413,9 @@ let trainer_tests =
         let train = (S.build ~verify:false ~seed0:60301 ~n:4 ()).S.samples in
         let base = Veriopt_llm.Capability.base_3b () in
         let engine = Engine.create ~isolate:Engine.Proc () in
+        (* shut the pool down even on failure: a worker still spinning on
+           an injected hang would otherwise outlive the test binary *)
+        Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
         Alcotest.(check bool) "proc backend live pre-domains" true
           (Engine.isolate engine = Engine.Proc);
         Vproc.reset_stats ();
@@ -607,4 +445,4 @@ let trainer_tests =
           (List.length r.Trainer.zero_log.Trainer.raw_rewards));
   ]
 
-let suite = ("vproc", eintr_tests @ pool_tests @ race_tests @ engine_tests @ trainer_tests)
+let suite = ("vproc", eintr_tests @ pool_tests @ shutdown_tests @ engine_tests @ trainer_tests)
