@@ -25,6 +25,22 @@ let header title =
   Fmt.pf fmt "%s@." title;
   Fmt.pf fmt "============================================================@."
 
+(* The SMT-hostile pair of the robust, sat and proc benches: mul
+   associativity, (x*y)*z against x*(y*z), at width [w] — trivial
+   algebraically and brutal bit-blasted.  Commutativity would not do:
+   commuted operands are one hash-consed term. *)
+let mul_assoc_pair w =
+  let text muls =
+    Fmt.str "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n%s  ret i%d %%r\n}" w w w w
+      muls w
+  in
+  let muls a b = Fmt.str "  %%a = mul i%d %s\n  %%r = mul i%d %s\n" w a w b in
+  let m = Veriopt_ir.Parser.parse_module (text (muls "%x, %y" "%a, %z")) in
+  ( m,
+    List.hd m.Veriopt_ir.Ast.funcs,
+    List.hd (Veriopt_ir.Parser.parse_module (text (muls "%y, %z" "%x, %a"))).Veriopt_ir.Ast.funcs
+  )
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation cache: train once, evaluate each model once. *)
 
@@ -418,7 +434,7 @@ let run_verify_bench () =
 (* robust-bench: the resilience layer under chaos.  Two phases:
 
    1. Deadline latency: verify a workload laced with SMT-hostile queries
-      (bit-blasted mul commutativity) with and without a wall-clock
+      (bit-blasted mul associativity) with and without a wall-clock
       deadline, and report p50/p99/max per-call latency for both legs —
       the deadline must bound the tail.
 
@@ -440,18 +456,8 @@ let run_robust_bench () =
   let ds = S.build ~verify:false ~seed0:737373 ~n:12 () in
   let samples = ds.S.samples in
   (* --- phase 1: deadline-bounded tail latency ---------------------- *)
-  (* mul commutativity is trivial algebraically and brutal bit-blasted:
-     exactly the hostile-completion shape the deadline exists for *)
-  let hostile =
-    let text op =
-      Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}"
-        op
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-    let src = List.hd m.Veriopt_ir.Ast.funcs in
-    let tgt = List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs in
-    (m, src, tgt)
-  in
+  (* exactly the hostile-completion shape the deadline exists for *)
+  let hostile = mul_assoc_pair 12 in
   let easy_pairs = List.map (fun (s : S.sample) -> (s.S.modul, s.S.src, s.S.label)) samples in
   let pairs = easy_pairs @ [ hostile; hostile; hostile ] in
   let deadline_budget = 0.05 in
@@ -598,7 +604,7 @@ let run_robust_bench () =
 (* ------------------------------------------------------------------ *)
 (* sat-bench: the clause-DB reduction knob on SMT-hostile queries.
 
-   Bit-blasted mul commutativity is the chaos bench's canonical hostile
+   Bit-blasted mul associativity is the chaos bench's canonical hostile
    shape: algebraically trivial, brutal for CDCL.  Each width is verified
    twice — reduction off (the seed solver's behavior) and on — with the
    same conflict budget.  Reports wall time, conflicts/sec and clause-DB
@@ -609,13 +615,7 @@ let run_sat_bench () =
   header "SAT-BENCH (clause-DB reduction on SMT-hostile queries)";
   let module Solver = Veriopt_smt.Solver in
   let hostile_pair w =
-    let text op =
-      Fmt.str "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  %%r = mul i%d %s\n  ret i%d %%r\n}"
-        w w w w op w
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-    let src = List.hd m.Veriopt_ir.Ast.funcs in
-    let tgt = List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs in
+    let m, src, tgt = mul_assoc_pair w in
     (w, m, src, tgt)
   in
   let widths = [ 9; 10; 11 ] in
@@ -666,7 +666,7 @@ let run_sat_bench () =
       name secs sat.Solver.conflicts (cps secs sat) sat.Solver.learned sat.Solver.deleted
       sat.Solver.reductions sat.Solver.db_peak
   in
-  Fmt.pf fmt "  queries: bit-blasted mul commutativity at widths %a, %d-conflict budget@."
+  Fmt.pf fmt "  queries: bit-blasted mul associativity at widths %a, %d-conflict budget@."
     Fmt.(list ~sep:comma int)
     widths max_conflicts;
   leg_line "reduction off" off_secs off_sat;
@@ -724,7 +724,7 @@ let run_sat_bench () =
 (* proc-bench: the fork-based isolation backend (--isolate proc).
 
    Phase 1 (kill latency): one worker slot, 100% worker_hang injection, a
-   50ms deadline on the SMT-hostile mul-commutativity pair — every call
+   50ms deadline on the SMT-hostile mul-associativity pair — every call
    must degrade to an uncached Inconclusive via SIGKILL within ~2x the
    budget.  An easy query between kills reads the replacement worker's pid
    notice and resets the slot's failure backoff, so the sweep measures kill
@@ -760,16 +760,7 @@ let run_proc_bench () =
     if Engine.isolate e <> Engine.Proc then
       skip "fork refused (a domain already exists in this process)"
     else begin
-      let hostile_m, hostile_src, hostile_tgt =
-        let text op =
-          Fmt.str
-            "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}" op
-        in
-        let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-        ( m,
-          List.hd m.Veriopt_ir.Ast.funcs,
-          List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs )
-      in
+      let hostile_m, hostile_src, hostile_tgt = mul_assoc_pair 12 in
       let easy_m =
         Veriopt_ir.Parser.parse_module
           "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 0\n  ret i8 %r\n}"
@@ -894,11 +885,12 @@ let run_proc_bench () =
 
    The workload is loops with DATA-DEPENDENT exits: the iteration count is
    an input, so every unroll depth admits real terminating executions and
-   proving depth d means re-establishing every frame k < d of a commuted
-   mul chain.  That is the shape where deepening has something to reuse —
-   a counting loop with a fixed bound is vacuous at shallow depths (the
-   exit is unreachable, the query propagates to Unsat with no search), so
-   all its proof work lands once at the final depth in every leg.  Each
+   proving depth d means re-establishing every frame k < d of a
+   reassociated mul chain.  That is the shape where deepening has
+   something to reuse — a counting loop with a fixed bound is vacuous at
+   shallow depths (the exit is unreachable, the query propagates to Unsat
+   with no search), so all its proof work lands once at the final depth in
+   every leg.  Each
    pair is verified three ways under the same conflict budget:
 
    - incremental: one solver session walks the 1 -> 2 -> 4 schedule,
@@ -932,23 +924,23 @@ let run_incr_bench () =
       if Engine.isolate e = Engine.Proc then Some e else None
     end
   in
-  (* %z iterations of s <- (s * y) + k, returning the accumulator: the exit
-     is data-dependent, so depth d's proof covers z in {0..d-1} and must
-     re-prove mul commutativity for every frame below d. *)
+  (* %z iterations of s <- (s * y) * y + k (the target computes
+     s * (y * y) + k), returning the accumulator: the exit is
+     data-dependent, so depth d's proof covers z in {0..d-1} and must
+     re-prove mul associativity for every frame below d. *)
   let chain_pair ?(src_k = 3) ?(tgt_k = 3) w =
-    let text mul k =
+    let text (a, b) k =
       Fmt.str
         "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n  br label %%h\nh:\n  %%i = phi \
          i%d [ 0, %%entry ], [ %%i2, %%b ]\n  %%s = phi i%d [ %%x, %%entry ], [ %%s2, %%b ]\n  \
-         %%c = icmp eq i%d %%i, %%z\n  br i1 %%c, label %%x, label %%b\nb:\n  %%m = mul i%d \
-         %s\n  %%s2 = add i%d %%m, %d\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  ret i%d \
-         %%s\n}"
-        w w w w w w w w mul w k w w
+         %%c = icmp eq i%d %%i, %%z\n  br i1 %%c, label %%x, label %%b\nb:\n  %%m0 = mul i%d \
+         %s\n  %%m = mul i%d %s\n  %%s2 = add i%d %%m, %d\n  %%i2 = add i%d %%i, 1\n  br \
+         label %%h\nx:\n  ret i%d %%s\n}"
+        w w w w w w w w a w b w k w w
     in
-    let m = Veriopt_ir.Parser.parse_module (text "%s, %y" src_k) in
-    ( m,
-      List.hd m.Veriopt_ir.Ast.funcs,
-      List.hd (Veriopt_ir.Parser.parse_module (text "%y, %s" tgt_k)).Veriopt_ir.Ast.funcs )
+    let m = Veriopt_ir.Parser.parse_module (text ("%s, %y", "%m0, %y") src_k) in
+    let tgt = Veriopt_ir.Parser.parse_module (text ("%y, %y", "%s, %m0") tgt_k) in
+    (m, List.hd m.Veriopt_ir.Ast.funcs, List.hd tgt.Veriopt_ir.Ast.funcs)
   in
   let count_pair bound ret =
     let src =

@@ -17,7 +17,7 @@ open Ast
 
 type pair = { a_m : Ast.modul; a_src : Ast.func; a_tgt : Ast.func }
 
-let families = [ "commute"; "flags"; "widen"; "gep"; "selphi"; "loopbound" ]
+let families = [ "reassoc"; "flags"; "widen"; "gep"; "selphi"; "loopbound" ]
 
 (* ------------------------------------------------------------------ *)
 (* Surgery helpers *)
@@ -36,14 +36,13 @@ let rewrite_at (f : func) ~block ~index g =
         { b with instrs = List.mapi (fun i ni -> if i = index then g ni else ni) b.instrs }
       else b)
 
-let insert_after (f : func) ~block ~index (news : named_instr list) =
+(* Replace the instruction at [index] with the list [g] makes of it. *)
+let splice_at (f : func) ~block ~index g =
   Builder.map_blocks f (fun b ->
       if b.label = block then
         {
           b with
-          instrs =
-            List.concat
-              (List.mapi (fun i ni -> if i = index then ni :: news else [ ni ]) b.instrs);
+          instrs = List.concat (List.mapi (fun i ni -> if i = index then g ni else [ ni ]) b.instrs);
         }
       else b)
 
@@ -55,30 +54,50 @@ let set_func (m : modul) (f : func) =
   { m with funcs = List.map (fun g -> if g.fname = f.fname then f else g) m.funcs }
 
 (* ------------------------------------------------------------------ *)
-(* commute: swap operands of a commutative binop, or swap an icmp's
-   operands with the mirrored predicate.  Equivalence-preserving on its
-   own; stresses the verifier's and the cache's canonicalization. *)
+(* reassoc: rewrite [(a op b) op c] into [a op (b op c)] for an associative
+   commutative op (add, mul, and, or, xor).  The new inner op goes right
+   before the outer one; both drop their flags, which only removes poison,
+   so the target still refines the source.  Equivalence-preserving, and
+   unlike an operand swap (commuted operands are one hash-consed term) it
+   hands the SAT search a different circuit. *)
 
-let commute rng p =
-  let is_site ni =
-    match ni.instr with
-    | Binop { op; _ } -> binop_is_commutative op
-    | Icmp _ -> true
-    | _ -> false
+let reassoc rng p =
+  let f = p.a_tgt in
+  let defs = Hashtbl.create 16 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun ni ->
+          match (ni.name, ni.instr) with
+          | Some v, (Binop _ as i) -> Hashtbl.replace defs v i
+          | _ -> ())
+        b.instrs)
+    f.blocks;
+  (* the operands of an inner op with the same op and type *)
+  let inner op ty = function
+    | Var v -> (
+      match Hashtbl.find_opt defs v with
+      | Some (Binop { op = op'; ty = ty'; lhs; rhs; _ }) when op' = op && ty' = ty ->
+        Some (lhs, rhs)
+      | _ -> None)
+    | _ -> None
   in
-  match sites p.a_tgt is_site with
+  let split = function
+    | Binop { op; ty; lhs; rhs; _ } when binop_is_commutative op -> (
+      match inner op ty lhs with
+      | Some (a, b) -> Some (op, ty, a, b, rhs)
+      | None -> Option.map (fun (a, b) -> (op, ty, a, b, lhs)) (inner op ty rhs))
+    | _ -> None
+  in
+  match sites f (fun ni -> split ni.instr <> None) with
   | [] -> None
   | cand ->
-    let bl, i, _ = pick rng cand in
-    let tgt =
-      rewrite_at p.a_tgt ~block:bl ~index:i (fun ni ->
-          match ni.instr with
-          | Binop b -> { ni with instr = Binop { b with lhs = b.rhs; rhs = b.lhs } }
-          | Icmp ic ->
-            { ni with instr = Icmp { ic with pred = icmp_swap_pred ic.pred; lhs = ic.rhs; rhs = ic.lhs } }
-          | _ -> ni)
-    in
-    Some { p with a_tgt = tgt }
+    let bl, i, ni0 = pick rng cand in
+    let op, ty, a, b, c = Option.get (split ni0.instr) in
+    let n = Builder.fresh (Builder.names_of_func f) "advr" in
+    let bc = { name = Some n; instr = Binop { op; flags = no_flags; ty; lhs = b; rhs = c } } in
+    let outer = { ni0 with instr = Binop { op; flags = no_flags; ty; lhs = a; rhs = Var n } } in
+    Some { p with a_tgt = splice_at f ~block:bl ~index:i (fun _ -> [ bc; outer ]) }
 
 (* ------------------------------------------------------------------ *)
 (* flags: toggle nsw/nuw on add/sub/mul/shl or exact on the divisions and
@@ -265,18 +284,7 @@ let gep rng p =
       | other -> other
     in
     let tgt =
-      Builder.map_blocks f (fun b ->
-          if b.label = bl then
-            {
-              b with
-              instrs =
-                List.concat
-                  (List.mapi
-                     (fun j nj ->
-                       if j = i then [ zgep; { nj with instr = set_ptr nj.instr } ] else [ nj ])
-                     b.instrs);
-            }
-          else b)
+      splice_at f ~block:bl ~index:i (fun nj -> [ zgep; { nj with instr = set_ptr nj.instr } ])
     in
     Some { p with a_tgt = tgt }
 
@@ -313,7 +321,7 @@ let inject_select rng p =
         { name = Some s; instr = Select { ty; cond = Var c; if_true = Var v; if_false = Var v } };
       ]
     in
-    Some { p with a_tgt = insert_after f ~block:bl ~index:i news }
+    Some { p with a_tgt = splice_at f ~block:bl ~index:i (fun ni -> ni :: news) }
 
 let phi_trampoline rng p =
   let f = p.a_tgt in
@@ -394,7 +402,7 @@ let loopbound rng p =
 
 let mutators : (string * (Random.State.t -> pair -> pair option)) array =
   [|
-    ("commute", commute);
+    ("reassoc", reassoc);
     ("flags", flags);
     ("widen", widen);
     ("gep", gep);

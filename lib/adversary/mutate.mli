@@ -1,9 +1,9 @@
 (** Semantics-aware mutators over verification pairs.
 
-    A mutation perturbs the {e verification problem} — operand order,
+    A mutation perturbs the {e verification problem} — association order,
     poison flags, bit widths, address chains, CFG shape, loop bounds —
-    while keeping both sides well-formed IR.  [commute], [gep] and
-    [selphi] are semantic no-ops (they stress canonicalization and encoder
+    while keeping both sides well-formed IR.  [reassoc], [gep] and
+    [selphi] are semantic no-ops (they stress the SAT search and encoder
     depth); [flags] and [loopbound] deliberately risk changing the pair's
     equivalence status (near-miss shapes); [widen] transforms both sides
     identically, doubling the bit-blasting load. *)

@@ -93,22 +93,26 @@ let coalesce_key (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : string =
    registered [semantics_version] and every prior entry is skipped as
    stale. *)
 
-let semantics_digest_lazy =
-  lazy
-    (Store.version_digest
-       [
-         ("encode", Encode.semantics_version);
-         ("refine", Refine.semantics_version);
-         ("alive", Alive.semantics_version);
-         ("sat", Sat.semantics_version);
-         (* the key-level canonical form: store keys collide canon twins,
-            so a canonicalizer change must invalidate old entries *)
-         ("canon", Canon.semantics_version);
-         (* marshalled payloads are only trusted from the same compiler
-            lineage; fold the runtime version in rather than risk a decode
-            of a foreign layout *)
-         ("ocaml", Hashtbl.hash Sys.ocaml_version land 0xFFFFFF);
-       ])
+let semantics_components =
+  [
+    ("encode", Encode.semantics_version);
+    ("refine", Refine.semantics_version);
+    ("alive", Alive.semantics_version);
+    ("sat", Sat.semantics_version);
+    (* the key-level canonical form: store keys collide canon twins, so a
+       canonicalizer change must invalidate old entries *)
+    ("canon", Canon.semantics_version);
+    (* marshalled payloads are only trusted from the same compiler lineage;
+       fold the runtime version in rather than risk a decode of a foreign
+       layout *)
+    ("ocaml", Hashtbl.hash Sys.ocaml_version land 0xFFFFFF);
+    (* term simplification and gate sharing decide queries a budget used
+       to exhaust: a stored budget-exhausted Inconclusive must not replay *)
+    ("expr", Veriopt_smt.Expr.semantics_version);
+    ("bitblast", Veriopt_smt.Bitblast.semantics_version);
+  ]
+
+let semantics_digest_lazy = lazy (Store.version_digest semantics_components)
 
 let semantics_digest () = Lazy.force semantics_digest_lazy
 

@@ -190,12 +190,16 @@ val store : t -> Veriopt_store.Store.t option
 val store_stats : t -> Veriopt_store.Store.stats option
 (** Hit/miss/write/corrupt/stale counters of the mounted store. *)
 
+val semantics_components : (string * int) list
+(** The registered [semantics_version]s the digest is taken over, in
+    order: Encode, Refine, Alive, Sat and Canon — the key-level canonical
+    form is part of the key semantics — then the runtime lineage, then Expr
+    and Bitblast. *)
+
 val semantics_digest : unit -> string
-(** The engine-semantics version hash every store record carries: a digest
-    of the registered [semantics_version]s of Encode, Refine, Alive, Sat
-    and Canon — the key-level canonical form is part of the key semantics
-    (plus the runtime lineage).  Bumping any of them invalidates all prior
-    store entries. *)
+(** The engine-semantics version hash every store record carries: the
+    {!Veriopt_store.Store.version_digest} of {!semantics_components}.
+    Bumping any component invalidates all prior store entries. *)
 
 val store_key :
   ?unroll:int ->

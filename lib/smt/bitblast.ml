@@ -1,13 +1,24 @@
 (** Bit-blasting of {!Expr} terms to CNF over the {!Sat} solver.
 
     Bitvectors become little-endian literal arrays; every gate is emitted via
-    the Tseitin transformation.  Arithmetic uses ripple-carry adders, a
-    shift-add multiplier, barrel shifters and a restoring divider — all
-    quadratic in width, which is fine at the widths (<= 64) and term sizes
-    produced by peephole-scale functions.
+    the Tseitin transformation, once per structurally distinct gate: a table
+    of normalized gate inputs hands back the output literal of an identical
+    gate already emitted in this context.  Arithmetic uses ripple-carry
+    adders, a shift-add multiplier, barrel shifters and a restoring divider —
+    all quadratic in width, which is fine at the widths (<= 64) and term
+    sizes produced by peephole-scale functions.
 
     Division-by-zero follows SMT-LIB ([bvudiv x 0 = ~0], [bvurem x 0 = x]);
     the IR encoder guards those cases with explicit UB conditions. *)
+
+module Itbl = Hashtbl.Make (Int)
+
+module Ite_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (c, a, b) (c', a', b') = c = c' && a = a' && b = b'
+  let hash (c, a, b) = Hashtbl.hash (c, a, b)
+end)
 
 type ctx = {
   sat : Sat.t;
@@ -16,6 +27,8 @@ type ctx = {
   bv_memo : (int, int array) Hashtbl.t; (* expr id -> literals, LSB first *)
   bv_vars : (string, int array) Hashtbl.t;
   bool_vars : (string, int) Hashtbl.t;
+  gates : int Itbl.t; (* packed AND/XOR inputs -> output literal *)
+  ites : int Ite_tbl.t; (* (cond, then, else) -> output literal *)
 }
 
 let create () =
@@ -30,8 +43,11 @@ let create () =
     bv_memo = Hashtbl.create 1024;
     bv_vars = Hashtbl.create 64;
     bool_vars = Hashtbl.create 64;
+    gates = Itbl.create 4096;
+    ites = Ite_tbl.create 1024;
   }
 
+let sat ctx = ctx.sat
 let fresh ctx = Sat.lit_of_var (Sat.new_var ctx.sat)
 let lfalse ctx = Sat.lit_neg ctx.true_lit
 let lit_of_bool ctx b = if b then ctx.true_lit else lfalse ctx
@@ -39,22 +55,40 @@ let lit_of_bool ctx b = if b then ctx.true_lit else lfalse ctx
 (* ------------------------------------------------------------------ *)
 (* Gates *)
 
+(* Two-input gates are keyed by one int: the ordered input pair packed with
+   a tag bit (0 AND, 1 XOR).  Literals stay below 2^30, so the key fits an
+   OCaml int on 64-bit hosts without allocating. *)
+let gate_key tag a b =
+  let lo = Int.min a b and hi = Int.max a b in
+  (lo lsl 31) lor (hi lsl 1) lor tag
+
+(* [emit] adds the Tseitin clauses of a new gate and returns its output. *)
+let hashed tbl key emit =
+  match Itbl.find_opt tbl key with
+  | Some o -> o
+  | None ->
+    let o = emit () in
+    Itbl.add tbl key o;
+    o
+
 let g_and ctx a b =
   if a = lfalse ctx || b = lfalse ctx then lfalse ctx
   else if a = ctx.true_lit then b
   else if b = ctx.true_lit then a
   else if a = b then a
   else if a = Sat.lit_neg b then lfalse ctx
-  else begin
-    let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; a ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; b ];
-    Sat.add_clause ctx.sat [ o; Sat.lit_neg a; Sat.lit_neg b ];
-    o
-  end
+  else
+    hashed ctx.gates (gate_key 0 a b) (fun () ->
+        let o = fresh ctx in
+        Sat.add_clause ctx.sat [ Sat.lit_neg o; a ];
+        Sat.add_clause ctx.sat [ Sat.lit_neg o; b ];
+        Sat.add_clause ctx.sat [ o; Sat.lit_neg a; Sat.lit_neg b ];
+        o)
 
 let g_or ctx a b = Sat.lit_neg (g_and ctx (Sat.lit_neg a) (Sat.lit_neg b))
 
+(* XOR gates are hashed over positive inputs: [a xor b] is the positive
+   gate's output, flipped once per negative input. *)
 let g_xor ctx a b =
   if a = lfalse ctx then b
   else if b = lfalse ctx then a
@@ -63,14 +97,22 @@ let g_xor ctx a b =
   else if a = b then lfalse ctx
   else if a = Sat.lit_neg b then ctx.true_lit
   else begin
-    let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; a; b ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; Sat.lit_neg a; Sat.lit_neg b ];
-    Sat.add_clause ctx.sat [ o; Sat.lit_neg a; b ];
-    Sat.add_clause ctx.sat [ o; a; Sat.lit_neg b ];
-    o
+    let flip = (a lxor b) land 1 in
+    let a = a land lnot 1 and b = b land lnot 1 in
+    let o =
+      hashed ctx.gates (gate_key 1 a b) (fun () ->
+          let o = fresh ctx in
+          Sat.add_clause ctx.sat [ Sat.lit_neg o; a; b ];
+          Sat.add_clause ctx.sat [ Sat.lit_neg o; Sat.lit_neg a; Sat.lit_neg b ];
+          Sat.add_clause ctx.sat [ o; Sat.lit_neg a; b ];
+          Sat.add_clause ctx.sat [ o; a; Sat.lit_neg b ];
+          o)
+    in
+    o lxor flip
   end
 
+(* ITE gates are hashed with a positive condition: [ite (not c) a b] is
+   [ite c b a]. *)
 let g_ite ctx c a b =
   if c = ctx.true_lit then a
   else if c = lfalse ctx then b
@@ -78,12 +120,18 @@ let g_ite ctx c a b =
   else if a = ctx.true_lit && b = lfalse ctx then c
   else if a = lfalse ctx && b = ctx.true_lit then Sat.lit_neg c
   else begin
-    let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg c; Sat.lit_neg a; o ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg c; a; Sat.lit_neg o ];
-    Sat.add_clause ctx.sat [ c; Sat.lit_neg b; o ];
-    Sat.add_clause ctx.sat [ c; b; Sat.lit_neg o ];
-    o
+    let c, a, b = if Sat.lit_sign c then (c, a, b) else (Sat.lit_neg c, b, a) in
+    let key = (c, a, b) in
+    match Ite_tbl.find_opt ctx.ites key with
+    | Some o -> o
+    | None ->
+      let o = fresh ctx in
+      Sat.add_clause ctx.sat [ Sat.lit_neg c; Sat.lit_neg a; o ];
+      Sat.add_clause ctx.sat [ Sat.lit_neg c; a; Sat.lit_neg o ];
+      Sat.add_clause ctx.sat [ c; Sat.lit_neg b; o ];
+      Sat.add_clause ctx.sat [ c; b; Sat.lit_neg o ];
+      Ite_tbl.add ctx.ites key o;
+      o
   end
 
 let g_iff ctx a b = Sat.lit_neg (g_xor ctx a b)
@@ -298,3 +346,8 @@ let bv_model_value ctx name =
 
 let bool_model_value ctx name =
   Option.map (lit_value ctx) (Hashtbl.find_opt ctx.bool_vars name)
+
+(* Bump when the emitted CNF changes which queries a conflict budget
+   decides (gate sharing does): the verdict store keys entry freshness on
+   this. *)
+let semantics_version = 1

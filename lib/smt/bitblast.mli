@@ -3,16 +3,24 @@
     Arithmetic uses ripple-carry adders, a shift-add multiplier, barrel
     shifters and a restoring divider. *)
 
-type ctx = {
-  sat : Sat.t;
-  true_lit : int;
-  bool_memo : (int, int) Hashtbl.t;
-  bv_memo : (int, int array) Hashtbl.t;
-  bv_vars : (string, int array) Hashtbl.t;
-  bool_vars : (string, int) Hashtbl.t;
-}
+type ctx
 
 val create : unit -> ctx
+
+val sat : ctx -> Sat.t
+
+(** {1 Gates}
+
+    Each gate returns its output literal.  Constant and repeated inputs
+    fold without a new variable; otherwise a gate structurally identical
+    to one already emitted in this context (AND over an unordered pair,
+    XOR up to input polarity, ITE up to condition polarity) returns that
+    gate's output, and only a new gate adds a variable and its Tseitin
+    clauses. *)
+
+val g_and : ctx -> int -> int -> int
+val g_xor : ctx -> int -> int -> int
+val g_ite : ctx -> int -> int -> int -> int
 
 val blast_bool : ctx -> Expr.t -> int
 val blast_bv : ctx -> Expr.t -> int array
@@ -21,3 +29,7 @@ val assert_term : ctx -> Expr.t -> unit
 
 val bv_model_value : ctx -> string -> (int * int64) option
 val bool_model_value : ctx -> string -> bool option
+
+val semantics_version : int
+(** Bump when a change to the emitted CNF changes which queries a conflict
+    budget decides; registered in the verdict store's semantics digest. *)

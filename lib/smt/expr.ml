@@ -235,6 +235,9 @@ let bin op a b =
     | Shl when is_const_of b 0L -> a
     | LShr when is_const_of b 0L -> a
     | AShr when is_const_of b 0L -> a
+    (* commutative operands ordered by id, as in [and_]/[eq]: [x*y] and
+       [y*x] are then one term *)
+    | (Add | Mul | And | Or | Xor) when a.id > b.id -> intern (BV w) (BvBin (op, b, a))
     | _ -> intern (BV w) (BvBin (op, a, b)))
 
 let bv_not a =
@@ -353,3 +356,8 @@ let rec pp ppf t =
   | BvTrunc (w, a) -> Fmt.pf ppf "(trunc[%d] %a)" w pp a
 
 let to_string t = Fmt.str "%a" pp t
+
+(* Bump when a constructor's simplification changes which queries a
+   conflict budget decides: budget-exhausted Inconclusive verdicts are
+   stored, so the verdict store keys entry freshness on this. *)
+let semantics_version = 1

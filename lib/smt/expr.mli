@@ -70,7 +70,9 @@ val is_const_of : t -> int64 -> bool
 
 val bin : bv_binop -> t -> t -> t
 (** Division by zero follows SMT-LIB in constant folding; the IR encoder
-    guards those cases with explicit UB conditions. *)
+    guards those cases with explicit UB conditions.  The operands of
+    [Add], [Mul], [And], [Or] and [Xor] are stored ordered by id, so
+    [bin op x y == bin op y x] for those five. *)
 
 val bv_not : t -> t
 val bv_neg : t -> t
@@ -93,3 +95,8 @@ val bv1_to_bool : t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val semantics_version : int
+(** Bump when a change to the constructors' simplification changes which
+    queries a conflict budget decides; registered in the verdict store's
+    semantics digest. *)

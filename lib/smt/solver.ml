@@ -132,7 +132,7 @@ module Fault = Veriopt_fault.Fault
    are raw SAT literals (already blasted). *)
 let solve_ctx ~max_conflicts ?deadline ~reduce ?(assumptions = []) (ctx : Bitblast.ctx) :
     outcome =
-  let sat = ctx.Bitblast.sat in
+  let sat = Bitblast.sat ctx in
   let c0, d0, p0 = Sat.stats sat in
   let r0 = Sat.restarts sat in
   let db0 = Sat.db_stats sat in
@@ -244,7 +244,7 @@ module Session = struct
       Unknown
     end
     else begin
-      let c0, _, _ = Sat.stats t.ctx.Bitblast.sat in
+      let c0, _, _ = Sat.stats (Bitblast.sat t.ctx) in
       (* Blasting the assumption terms may add definitional clauses — that
          is fine, Tseitin definitions are satisfiable extensions. *)
       let assumptions = List.map (Bitblast.blast_bool t.ctx) assumptions in
@@ -252,7 +252,7 @@ module Session = struct
          next operation on this session.  The deepening loop stops on Sat,
          so its counterexample models are never invalidated. *)
       let o = solve_ctx ~max_conflicts ?deadline ~reduce ~assumptions t.ctx in
-      let c1, _, _ = Sat.stats t.ctx.Bitblast.sat in
+      let c1, _, _ = Sat.stats (Bitblast.sat t.ctx) in
       t.conflicts_used <- t.conflicts_used + (c1 - c0);
       o
     end

@@ -10,6 +10,7 @@
 module Corpus = Veriopt_adversary.Corpus
 module Miner = Veriopt_adversary.Miner
 module Mutate = Veriopt_adversary.Mutate
+module A = Veriopt_alive.Alive
 module Engine = Veriopt_alive.Engine
 module Workload = Veriopt_serve.Workload
 module Fault = Veriopt_fault.Fault
@@ -205,6 +206,31 @@ let mutate_tests =
           (Fmt.str "%d families seen" (Hashtbl.length seen))
           true
           (Hashtbl.length seen >= 3));
+    Alcotest.test_case "reassoc regroups a chain and keeps it equivalent" `Quick (fun () ->
+        let text =
+          "define i4 @f(i4 %x, i4 %y, i4 %z) {\n\
+           entry:\n\
+          \  %a = mul nsw i4 %x, %y\n\
+          \  %r = mul nsw i4 %a, %z\n\
+          \  ret i4 %r\n\
+           }"
+        in
+        let m = Parser.parse_module text in
+        let f = List.hd m.Ast.funcs in
+        let p = { Mutate.a_m = m; a_src = f; a_tgt = f } in
+        let rec draw seed =
+          if seed > 500 then Alcotest.fail "reassoc never drawn"
+          else
+            match Mutate.apply (Random.State.make [| seed |]) p with
+            | Some ("reassoc", p') -> p'
+            | _ -> draw (seed + 1)
+        in
+        let p' = draw 0 in
+        let count (g : Ast.func) = List.length (List.hd g.Ast.blocks).Ast.instrs in
+        Alcotest.(check int) "one op added" (count f + 1) (count p'.Mutate.a_tgt);
+        Alcotest.(check bool) "target rewritten" true (p'.Mutate.a_tgt <> f);
+        let v = A.verify_funcs m ~src:f ~tgt:p'.Mutate.a_tgt in
+        Alcotest.(check bool) "still equivalent" true (v.A.category = A.Equivalent));
     Alcotest.test_case "widen never fires on a loop" `Quick (fun () ->
         (* widened loop trip counts would make the interpreter-backed
            oracle battery quadratic in the new bound, so widen must be

@@ -181,17 +181,22 @@ let satellite_tests =
           vc.Reward.verdict.A.category);
   ]
 
+(* mul associativity, (x*y)*z against x*(y*z): trivial algebraically and
+   brutal bit-blasted.  [body] places the two muls, [w] is the width. *)
+let mul_assoc w body =
+  let text first second =
+    body (Printf.sprintf "  %%a = mul i%d %s\n  %%r = mul i%d %s\n" w first w second)
+  in
+  let m = Parser.parse_module (text "%x, %y" "%a, %z") in
+  let src = List.hd m.Ast.funcs in
+  let tgt = List.hd (Parser.parse_module (text "%y, %z" "%x, %a")).Ast.funcs in
+  (m, src, tgt)
+
 (* width-parameterized pairs so consecutive queries never share a cache key *)
 let hostile_pair w =
-  let text op =
-    Printf.sprintf
-      "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  %%r = mul i%d %s\n  ret i%d %%r\n}" w w w
-      w op w
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+  mul_assoc w (fun muls ->
+      Printf.sprintf "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n%s  ret i%d %%r\n}" w
+        w w w muls w)
 
 let easy_pair w =
   let m =
@@ -222,21 +227,15 @@ let loop_pair ?(bound = 3) ?(ret = 3) () =
   let m = Parser.parse_module src in
   (m, List.hd m.Ast.funcs, List.hd (Parser.parse_module tgt).Ast.funcs)
 
-(* the hostile mul moved inside a loop exit block: every deepening step
-   re-poses the commutativity query, so no realistic deadline survives it *)
+(* the hostile muls moved inside a loop exit block: every deepening step
+   re-poses the associativity query, so no realistic deadline survives it *)
 let hostile_loop_pair w =
-  let text op =
-    Printf.sprintf
-      "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  br label %%h\nh:\n  %%i = phi i%d [ 0, \
-       %%entry ], [ %%i2, %%b ]\n  %%c = icmp slt i%d %%i, 2\n  br i1 %%c, label %%b, label \
-       %%x\nb:\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  %%r = mul i%d %s\n  ret i%d \
-       %%r\n}"
-      w w w w w w w op w
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+  mul_assoc w (fun muls ->
+      Printf.sprintf
+        "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n  br label %%h\nh:\n  %%i = phi \
+         i%d [ 0, %%entry ], [ %%i2, %%b ]\n  %%c = icmp slt i%d %%i, 2\n  br i1 %%c, label \
+         %%b, label %%x\nb:\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n%s  ret i%d %%r\n}"
+        w w w w w w w muls w)
 
 let incremental_tests =
   [
@@ -255,7 +254,7 @@ let incremental_tests =
             ("wrong constant", loop_pair ~ret:4 ());
             ("bound exceeds unroll", loop_pair ~bound:100 ~ret:100 ());
             ("loop against itself", (fun (m, src, _) -> (m, src, src)) (loop_pair ()));
-            ("mul commutativity in a loop", hostile_loop_pair 5);
+            ("mul associativity in a loop", hostile_loop_pair 5);
           ];
         let ds = S.build ~verify:false ~seed0:88111 ~n:10 () in
         List.iter

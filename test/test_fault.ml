@@ -43,15 +43,17 @@ let category =
       | A.Inconclusive -> Fmt.string ppf "Inconclusive")
     ( = )
 
-(* SMT-hostile pair: mul commutativity is trivial algebraically and brutal
+(* SMT-hostile pair: mul associativity is trivial algebraically and brutal
    bit-blasted — the shape the deadline exists for. *)
 let hostile_pair () =
-  let text op =
-    Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}" op
+  let text body =
+    Fmt.str "define i12 @f(i12 %%x, i12 %%y, i12 %%z) {\nentry:\n%s  ret i12 %%r\n}" body
   in
-  let m = Parser.parse_module (text "%x, %y") in
+  let m = Parser.parse_module (text "  %a = mul i12 %x, %y\n  %r = mul i12 %a, %z\n") in
   let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
+  let tgt =
+    List.hd (Parser.parse_module (text "  %a = mul i12 %y, %z\n  %r = mul i12 %x, %a\n")).Ast.funcs
+  in
   (m, src, tgt)
 
 (* ------------------------------------------------------------------ *)

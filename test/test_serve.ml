@@ -21,10 +21,12 @@ let parse_pair src_text tgt_text =
 
 (* SMT-hostile blocker: holds a dispatcher busy until its deadline. *)
 let hostile_pair () =
-  let text op =
-    Fmt.str "define i11 @f(i11 %%x, i11 %%y) {\nentry:\n  %%r = mul i11 %s\n  ret i11 %%r\n}" op
+  let text body =
+    Fmt.str "define i11 @f(i11 %%x, i11 %%y, i11 %%z) {\nentry:\n%s  ret i11 %%r\n}" body
   in
-  parse_pair (text "%x, %y") (text "%y, %x")
+  parse_pair
+    (text "  %a = mul i11 %x, %y\n  %r = mul i11 %a, %z\n")
+    (text "  %a = mul i11 %y, %z\n  %r = mul i11 %x, %a\n")
 
 let easy_text k =
   Fmt.str "define i32 @f(i32 %%x) {\nentry:\n  %%r = add i32 %%x, %d\n  ret i32 %%r\n}" k

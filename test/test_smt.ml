@@ -4,6 +4,7 @@
 module Sat = Veriopt_smt.Sat
 module Expr = Veriopt_smt.Expr
 module Solver = Veriopt_smt.Solver
+module Bitblast = Veriopt_smt.Bitblast
 
 let lit v = Sat.lit_of_var v
 let nlit v = Sat.lit_of_var ~sign:false v
@@ -412,6 +413,206 @@ let expr_tests =
         | _ -> Alcotest.fail "expected counterexample");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Structural hashing before search: commuted operands are one term, and
+   the bit-blaster emits each structurally distinct gate once. *)
+
+let op_name op = Expr.to_string (Expr.bin op (Expr.bv_var "a" 4) (Expr.bv_var "b" 4))
+
+let hashing_tests =
+  [
+    Alcotest.test_case "commuted operands of add/mul/and/or/xor are one term" `Quick (fun () ->
+        let x = Expr.bv_var "ox" 8 and y = Expr.bv_var "oy" 8 in
+        List.iter
+          (fun op ->
+            Alcotest.(check bool) (op_name op ^ " commutes physically") true
+              (Expr.bin op x y == Expr.bin op y x))
+          Expr.[ Add; Mul; And; Or; Xor ];
+        List.iter
+          (fun op ->
+            Alcotest.(check bool) (op_name op ^ " keeps its operand order") false
+              (Expr.bin op x y == Expr.bin op y x))
+          Expr.[ Sub; Shl; UDiv ]);
+    Alcotest.test_case "an identical AND/XOR/ITE gate adds no SAT variable" `Quick (fun () ->
+        let ctx = Bitblast.create () in
+        let input name = Bitblast.blast_bool ctx (Expr.bool_var name) in
+        let a = input "ga" and b = input "gb" and c = input "gc" in
+        let nvars () = Sat.num_vars (Bitblast.sat ctx) in
+        List.iter
+          (fun (name, first, again) ->
+            let o = first () in
+            let n = nvars () in
+            Alcotest.(check int) (name ^ ": same output") o (again ());
+            Alcotest.(check int) (name ^ ": no new variable") n (nvars ()))
+          [
+            ("and", (fun () -> Bitblast.g_and ctx a b), fun () -> Bitblast.g_and ctx b a);
+            ("xor", (fun () -> Bitblast.g_xor ctx a b), fun () -> Bitblast.g_xor ctx b a);
+            ( "ite",
+              (fun () -> Bitblast.g_ite ctx c a b),
+              fun () -> Bitblast.g_ite ctx (Sat.lit_neg c) b a );
+          ]);
+    Alcotest.test_case "xor of a negated input is the negated xor" `Quick (fun () ->
+        let ctx = Bitblast.create () in
+        let input name = Bitblast.blast_bool ctx (Expr.bool_var name) in
+        let a = input "xa" and b = input "xb" in
+        let o = Bitblast.g_xor ctx a b in
+        let n = Sat.num_vars (Bitblast.sat ctx) in
+        Alcotest.(check int) "xor (not a) b" (Sat.lit_neg o) (Bitblast.g_xor ctx (Sat.lit_neg a) b);
+        Alcotest.(check int) "xor a (not b)" (Sat.lit_neg o) (Bitblast.g_xor ctx a (Sat.lit_neg b));
+        Alcotest.(check int) "xor (not a) (not b)" o
+          (Bitblast.g_xor ctx (Sat.lit_neg a) (Sat.lit_neg b));
+        Alcotest.(check int) "no new variable" n (Sat.num_vars (Bitblast.sat ctx)));
+    Alcotest.test_case "distinct terms with one circuit share its gates" `Quick (fun () ->
+        (* xor (not p) q is a different term from not (xor p q), but the
+           same gate up to polarity *)
+        let ctx = Bitblast.create () in
+        let p = Expr.bool_var "sp" and q = Expr.bool_var "sq" in
+        let o = Bitblast.blast_bool ctx (Expr.xor_ p q) in
+        let n = Sat.num_vars (Bitblast.sat ctx) in
+        Alcotest.(check int) "negated output" (Sat.lit_neg o)
+          (Bitblast.blast_bool ctx (Expr.xor_ (Expr.not_ p) q));
+        Alcotest.(check int) "no new variable" n (Sat.num_vars (Bitblast.sat ctx)));
+  ]
+
+(* Differential check of the whole pre-search layer: for random term pairs
+   at widths 1-4 over three inputs, the solver's verdict on [t1 <> t2]
+   agrees with exhaustive evaluation over every input.  The pairs are
+   plain trees, evaluated through per-width tables of the constant folder,
+   so a simplification or ordering bug in the term layer cannot hide by
+   turning both sides into one term.  The second tree is a commuted copy
+   of the first, a copy with leaves replaced, or a fresh tree, so equal,
+   near-equal and unrelated pairs all occur.  Runs VERIOPT_FUZZ_N pairs
+   (500 by default). *)
+
+let exhaustive_n =
+  match Option.bind (Sys.getenv_opt "VERIOPT_FUZZ_N") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | _ -> 500
+
+type tree =
+  | Var of int  (** input x0..x2 *)
+  | Const of int
+  | Bin of int * tree * tree  (** index into [ops] *)
+  | Ite_ult of tree * tree * tree * tree  (** ult a b ? c : d *)
+
+let ops = Array.of_list all_ops
+
+(* [fold_table.(w).(k).((x lsl w) lor y)]: [ops.(k)] on constants x, y *)
+let fold_table =
+  lazy
+    (Array.init 5 (fun w ->
+         Array.map
+           (fun op ->
+             Array.init
+               (1 lsl (2 * w))
+               (fun i ->
+                 let c v = Expr.bv_const w (Int64.of_int v) in
+                 let x = i lsr w and y = i land ((1 lsl w) - 1) in
+                 match Expr.const_value (Expr.bin op (c x) (c y)) with
+                 | Some v -> Int64.to_int v
+                 | None -> assert false))
+           ops))
+
+let rec eval_tree w table env = function
+  | Var i -> env.(i)
+  | Const c -> c
+  | Bin (k, a, b) -> table.(k).((eval_tree w table env a lsl w) lor eval_tree w table env b)
+  | Ite_ult (a, b, c, d) ->
+    if eval_tree w table env a < eval_tree w table env b then eval_tree w table env c
+    else eval_tree w table env d
+
+let rec expr_of_tree w = function
+  | Var i -> Expr.bv_var (Fmt.str "x%d" i) w
+  | Const c -> Expr.bv_const w (Int64.of_int c)
+  | Bin (k, a, b) -> Expr.bin ops.(k) (expr_of_tree w a) (expr_of_tree w b)
+  | Ite_ult (a, b, c, d) ->
+    Expr.bv_ite
+      (Expr.ult (expr_of_tree w a) (expr_of_tree w b))
+      (expr_of_tree w c) (expr_of_tree w d)
+
+let gen_tree_pair =
+  QCheck2.Gen.(
+    let* w = int_range 1 4 in
+    let leaf =
+      let* pick = int_bound 3 in
+      if pick = 0 then map (fun c -> Const c) (int_bound ((1 lsl w) - 1))
+      else return (Var (pick - 1))
+    in
+    let rec tree depth =
+      if depth = 0 then leaf
+      else
+        let* a = tree (depth - 1) in
+        let* b = tree (depth - 1) in
+        frequency
+          [
+            (4, map (fun k -> Bin (k, a, b)) (int_bound (Array.length ops - 1)));
+            (1, map2 (fun c d -> Ite_ult (a, b, c, d)) (tree (depth - 1)) (tree (depth - 1)));
+          ]
+    in
+    (* rebuild a tree bottom-up, swapping operands or replacing leaves at
+       random *)
+    let rec mutate ~swap ~replace = function
+      | Bin (k, a, b) ->
+        let* a = mutate ~swap ~replace a in
+        let* b = mutate ~swap ~replace b in
+        let* flip = if swap then bool else return false in
+        return (if flip then Bin (k, b, a) else Bin (k, a, b))
+      | Ite_ult (a, b, c, d) ->
+        let* a = mutate ~swap ~replace a in
+        let* b = mutate ~swap ~replace b in
+        let* c = mutate ~swap ~replace c in
+        let* d = mutate ~swap ~replace d in
+        return (Ite_ult (a, b, c, d))
+      | t ->
+        let* r = if replace then int_bound 5 else return 1 in
+        if r = 0 then leaf else return t
+    in
+    let* depth = int_range 1 3 in
+    let* t1 = tree depth in
+    let* t2 =
+      frequency
+        [
+          (2, mutate ~swap:true ~replace:false t1);
+          (2, mutate ~swap:false ~replace:true t1);
+          (1, tree depth);
+        ]
+    in
+    return (w, t1, t2))
+
+exception Differs
+
+let exhaustive_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:exhaustive_n
+       ~name:
+         (Fmt.str "verdict on t1 <> t2 agrees with exhaustive evaluation, %d pairs (VERIOPT_FUZZ_N)"
+            exhaustive_n)
+       gen_tree_pair
+       (fun (w, t1, t2) ->
+         let table = (Lazy.force fold_table).(w) in
+         let differ env = eval_tree w table env t1 <> eval_tree w table env t2 in
+         let size = 1 lsl w in
+         let differs =
+           try
+             for i = 0 to (size * size * size) - 1 do
+               if differ [| i mod size; i / size mod size; i / (size * size) |] then raise Differs
+             done;
+             false
+           with Differs -> true
+         in
+         match
+           Solver.check [ Expr.not_ (Expr.eq (expr_of_tree w t1) (expr_of_tree w t2)) ]
+         with
+         | Solver.Unsat -> not differs
+         | Solver.Sat m ->
+           let input i =
+             match m.Solver.bv_value (Fmt.str "x%d" i) with
+             | Some (_, v) -> Int64.to_int v
+             | None -> 0
+           in
+           differs && differ (Array.init 3 input)
+         | Solver.Unknown -> false))
+
 let suite =
   ( "smt",
     sat_tests @ expr_tests
@@ -421,4 +622,5 @@ let suite =
         model_soundness_property;
         bitblast_roundtrip_fuzz;
         poison_paths_fuzz;
-      ] )
+      ]
+    @ hashing_tests @ [ exhaustive_property ] )

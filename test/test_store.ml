@@ -473,6 +473,49 @@ let fuzz_tests =
         let d3 = Store.version_digest [ ("sat", 1); ("encode", 1) ] in
         Alcotest.(check bool) "version bump changes it" true (d1 <> d2);
         Alcotest.(check bool) "component order matters" true (d1 <> d3));
+    Alcotest.test_case "entries from before expr/bitblast joined the digest are stale"
+      `Quick (fun () ->
+        (* a store written without operand ordering or gate sharing holds a
+           budget-exhausted Inconclusive for mul commutativity, which the
+           current solver decides with no search: it must never replay *)
+        let dir = temp_dir () in
+        let old_digest =
+          Store.version_digest
+            (List.filter
+               (fun (c, _) -> c <> "expr" && c <> "bitblast")
+               Engine.semantics_components)
+        in
+        Alcotest.(check bool) "digests differ" true (old_digest <> Engine.semantics_digest ());
+        let text op =
+          Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}"
+            op
+        in
+        let m, src = parse1 (text "%x, %y") in
+        let _, tgt = parse1 (text "%y, %x") in
+        let exhausted =
+          {
+            A.category = A.Inconclusive;
+            message = "conflict budget exhausted";
+            example = [];
+            bounded = false;
+            copy_of_input = false;
+          }
+        in
+        let delta = Solver.diff (Solver.stats ()) (Solver.stats ()) in
+        let old = Store.open_ ~dir ~semantics:old_digest () in
+        Store.add old ~key:(Engine.store_key m ~src ~tgt)
+          (Engine.store_encode ~tier:2 ~delta exhausted);
+        Store.close old;
+        let e = Engine.create ~tier1_samples:0 ~store:dir () in
+        let v = Engine.verify_funcs e m ~src ~tgt in
+        let vs = Engine.stats e in
+        let ss = Option.get (Engine.store_stats e) in
+        Engine.shutdown e;
+        Alcotest.(check bool) "decided, not replayed" true (v.A.category = A.Equivalent);
+        Alcotest.(check int) "no store hit" 0 ss.Store.hits;
+        Alcotest.(check bool) "skip was counted as stale" true (ss.Store.stale_version_skips >= 1);
+        Alcotest.(check int) "zero corrupt serves" 0 ss.Store.corrupt_entries;
+        Alcotest.(check int) "tier 2 ran" 1 vs.Vcache.tier2_runs);
   ]
 
 (* ------------------------------------------------------------------ *)
